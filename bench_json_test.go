@@ -15,7 +15,7 @@ import (
 // machine-readable solver benchmark export.
 type solverBenchRow struct {
 	App            string  `json:"app"`
-	Mode           string  `json:"mode"` // "full", "delta", "prep", "parallel", "intern", or "parallel-gate"
+	Mode           string  `json:"mode"` // "full", "delta", "prep", "parallel", or "parallel-gate"
 	GraphNodes     int     `json:"graph_nodes"`
 	NsPerOp        int64   `json:"ns_per_op"`
 	AllocsPerOp    int64   `json:"allocs_per_op"`
@@ -31,7 +31,6 @@ type solverBenchRow struct {
 	SpeedupVsFull  float64 `json:"speedup_vs_full,omitempty"`
 	Workers        int     `json:"workers,omitempty"`        // parallel mode only
 	SpeedupVsSeq   float64 `json:"speedup_vs_seq,omitempty"` // parallel vs same-config sequential
-	BytesVsFull    float64 `json:"bytes_vs_full,omitempty"`  // intern mode: full bytes/op over interned bytes/op
 }
 
 // benchModes are the solver configurations the export compares, all
@@ -44,21 +43,16 @@ type solverBenchRow struct {
 //	parallel — the prep configuration solved by the parallel wave strategy
 //	           at GOMAXPROCS workers (byte-identical fixpoint; the timing
 //	           delta against "prep" is the multicore payoff)
-//	intern   — the full configuration with hash-consed set interning
-//	           (byte-identical fixpoint; the bytes/op delta against "full"
-//	           is the sharing payoff, gated below)
 var benchModes = []struct {
 	name     string
 	delta    *bool // nil = auto
 	prep     bool
 	parallel bool
-	intern   bool
 }{
-	{"full", boolPtr(false), false, false, false},
-	{"delta", boolPtr(true), false, false, false},
-	{"prep", nil, true, false, false},
-	{"parallel", nil, true, true, false},
-	{"intern", boolPtr(false), false, false, true},
+	{"full", boolPtr(false), false, false},
+	{"delta", boolPtr(true), false, false},
+	{"prep", nil, true, false},
+	{"parallel", nil, true, true},
 }
 
 func boolPtr(b bool) *bool { return &b }
@@ -78,10 +72,6 @@ func boolPtr(b bool) *bool { return &b }
 //     sccPass sweeps than the no-prep baseline;
 //   - on graphs of >= 10k nodes, prep mode is at least 1.5x faster than the
 //     no-prep full solver (the tentpole's acceptance bar; measured ~3x);
-//   - on graphs of >= 10k nodes, hash-consed set interning cuts allocated
-//     bytes per solve at least 5x against the identical full solve without
-//     regressing wall clock past 10% (measured ~20x less memory and ~5x
-//     faster: the memory-regression gate for the interning tentpole);
 //   - on machines with >= 4 CPUs, the parallel wave strategy solves
 //     randprog-100k at least 2x faster than the same-configuration
 //     sequential solve (skipped — and logged — on narrower machines, where
@@ -111,7 +101,6 @@ func TestWriteBenchJSON(t *testing.T) {
 				if mode.parallel {
 					a.SetParallel(workers)
 				}
-				a.SetIntern(mode.intern)
 				r := a.Solve()
 				return r.Stats(), r.NodeCount()
 			}
@@ -161,35 +150,13 @@ func TestWriteBenchJSON(t *testing.T) {
 		par.Workers = workers
 		par.SpeedupVsFull = float64(f.NsPerOp) / float64(par.NsPerOp)
 		par.SpeedupVsSeq = float64(p.NsPerOp) / float64(par.NsPerOp)
-		in := perMode["intern"]
-		in.SpeedupVsFull = float64(f.NsPerOp) / float64(in.NsPerOp)
-		if in.BytesPerOp > 0 {
-			in.BytesVsFull = float64(f.BytesPerOp) / float64(in.BytesPerOp)
-		}
 		if f.GraphNodes >= 10000 && p.SpeedupVsFull < 1.5 {
 			t.Errorf("%s (%d nodes): prep speedup %.2fx vs full, want >= 1.5x",
 				app.Name, f.GraphNodes, p.SpeedupVsFull)
 		}
-		// Memory-regression gate for interning: at the 10k tier the
-		// hash-consed pool must cut allocated bytes by >= 5x against the
-		// identical full-propagation solve (measured ~20x: the fixpoint's
-		// repeated Elements() traffic collapses onto memoized canonical
-		// slices), and interning must never cost wall clock there — the
-		// issue's bar is no regression past 10%. Small-app timing stays
-		// reported-not-asserted, like every other mode.
-		if f.GraphNodes >= 10000 {
-			if f.BytesPerOp < 5*in.BytesPerOp {
-				t.Errorf("%s (%d nodes): interning cut bytes/op only %.2fx (%d -> %d), want >= 5x",
-					app.Name, f.GraphNodes, in.BytesVsFull, f.BytesPerOp, in.BytesPerOp)
-			}
-			if float64(in.NsPerOp) > 1.10*float64(f.NsPerOp) {
-				t.Errorf("%s (%d nodes): interning regressed wall clock %.2fx (%d ns vs %d ns), want <= 1.10x",
-					app.Name, f.GraphNodes, float64(in.NsPerOp)/float64(f.NsPerOp), in.NsPerOp, f.NsPerOp)
-			}
-		}
-		t.Logf("%-13s %7d nodes | full %9d ns | delta %9d ns (%.2fx) | prep %9d ns (%.2fx, merged=%d hcd=%d) | intern %9d ns (%.1fx bytes)",
+		t.Logf("%-13s %7d nodes | full %9d ns | delta %9d ns (%.2fx) | prep %9d ns (%.2fx, merged=%d hcd=%d)",
 			app.Name, f.GraphNodes, f.NsPerOp, d.NsPerOp, d.SpeedupVsFull,
-			p.NsPerOp, p.SpeedupVsFull, p.PrepMerged, p.HCDCollapses, in.NsPerOp, in.BytesVsFull)
+			p.NsPerOp, p.SpeedupVsFull, p.PrepMerged, p.HCDCollapses)
 	}
 	if totalDelta >= totalFull {
 		t.Errorf("aggregate: delta propagated %d bits, full %d — delta must be strictly lower",

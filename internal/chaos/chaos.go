@@ -74,7 +74,6 @@ type Options struct {
 	Workers  int                 // pool width of one sweep (default 4)
 	Timeout  time.Duration       // per-app job timeout (default 2m)
 	Parallel int                 // parallel wave solver workers per analysis (0 = sequential)
-	Intern   bool                // hash-cons points-to sets during every solve (pure memory hint)
 	Metrics  *telemetry.Registry // fault + outcome counters (may be nil)
 }
 
@@ -222,10 +221,6 @@ func sweep(plan *faultinject.Plan, o Options) []runner.Result[appArtifact] {
 	// (a level barrier instead of a worklist pop), which classify already
 	// treats as the same typed abort.
 	cache.SetParallel(o.Parallel)
-	// Same argument for set interning: byte-identical fixpoints mean the
-	// chaos matrix exercises the copy-on-write machinery without its
-	// classifications being able to shift.
-	cache.SetIntern(o.Intern)
 	apps := workload.Apps()
 	return runner.MapOpts(len(apps), o.Workers, runner.Opts{
 		Trace:            runner.Trace{Metrics: o.Metrics, Label: "chaos/app"},

@@ -74,7 +74,6 @@ type AnalyzeOpts struct {
 	Budget   pointsto.Budget     // per-stage solver step budget (zero = unlimited)
 	Faults   *faultinject.Plan   // fault-injection plan armed on both solver stages
 	Parallel int                 // >0 solves both stages with the parallel wave strategy at this many workers
-	Intern   bool                // hash-cons points-to sets in both stages (pure allocation hint)
 }
 
 // AnalyzeCtx is the cancellable, bounded, fault-injectable analysis entry.
@@ -102,9 +101,6 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 		if o.Parallel > 0 {
 			a.SetParallel(o.Parallel)
 		}
-		if o.Intern {
-			a.SetIntern(true)
-		}
 		r, err := a.SolveCtx(ctx, o.Budget)
 		stop()
 		fin()
@@ -123,9 +119,6 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 		a.SetFaults(o.Faults)
 		if o.Parallel > 0 {
 			a.SetParallel(o.Parallel)
-		}
-		if o.Intern {
-			a.SetIntern(true)
 		}
 		r, err := a.SolveCtx(ctx, o.Budget)
 		stop()

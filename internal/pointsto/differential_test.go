@@ -75,18 +75,11 @@ func solveVariant(m *ir.Module, cfg invariant.Config, wave, delta, prep bool) *R
 // solveStrategy is solveVariant with the full strategy axis: parallel > 0
 // selects the parallel wave solver with that many workers (overriding wave).
 func solveStrategy(m *ir.Module, cfg invariant.Config, wave bool, parallel int, delta, prep bool) *Result {
-	return solveCube(m, cfg, wave, parallel, delta, prep, false)
-}
-
-// solveCube is the full configuration cube, including hash-consed set
-// interning (SetIntern) as its last axis.
-func solveCube(m *ir.Module, cfg invariant.Config, wave bool, parallel int, delta, prep, intern bool) *Result {
 	a := New(m, cfg)
 	a.SetWave(wave)
 	a.SetParallel(parallel)
 	a.SetDelta(delta)
 	a.SetPrep(prep)
-	a.SetIntern(intern)
 	return a.Solve()
 }
 
@@ -130,8 +123,8 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 // TestDifferentialDeltaOracle asserts that no solver optimization changes
 // anything observable: for every module and invariant configuration, every
 // point of the {worklist, wave, parallel x {1,2,8 workers}} x {delta on/off}
-// x {prep on/off} x {intern on/off} strategy cube fingerprints identically
-// to the plain worklist+full+no-prep solve.
+// x {prep on/off} strategy cube fingerprints identically to the plain
+// worklist+full+no-prep solve.
 func TestDifferentialDeltaOracle(t *testing.T) {
 	cfgs := map[string]invariant.Config{
 		"fallback":   {},
@@ -146,17 +139,14 @@ func TestDifferentialDeltaOracle(t *testing.T) {
 				for _, strat := range strategyAxis {
 					for _, delta := range []bool{false, true} {
 						for _, prep := range []bool{false, true} {
-							for _, intern := range []bool{false, true} {
-								if strat.name == "worklist" && !delta && !prep && !intern {
-									continue // the reference itself
-								}
-								label := fmt.Sprintf("%s delta=%v prep=%v intern=%v",
-									strat.name, delta, prep, intern)
-								got := fingerprint(solveCube(m, cfg, strat.wave, strat.parallel, delta, prep, intern))
-								if got != ref {
-									t.Errorf("%s diverges from worklist+full+no-prep reference:\n%s",
-										label, diffLines(ref, got))
-								}
+							if strat.name == "worklist" && !delta && !prep {
+								continue // the reference itself
+							}
+							label := fmt.Sprintf("%s delta=%v prep=%v", strat.name, delta, prep)
+							got := fingerprint(solveStrategy(m, cfg, strat.wave, strat.parallel, delta, prep))
+							if got != ref {
+								t.Errorf("%s diverges from worklist+full+no-prep reference:\n%s",
+									label, diffLines(ref, got))
 							}
 						}
 					}
@@ -174,31 +164,28 @@ func TestDifferentialIncrementalOracle(t *testing.T) {
 	for name, m := range oracleModules(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, strat := range strategyAxis {
-				for _, intern := range []bool{false, true} {
-					// The reference runs full propagation without preprocessing;
-					// the candidate enables both delta and prep — and, on the
-					// second pass, set interning, so every Restore mutates shared
-					// fixpoint sets through the copy-on-write path.
-					full := solveStrategy(m, invariant.All(), strat.wave, strat.parallel, false, false)
-					delta := solveCube(m, invariant.All(), strat.wave, strat.parallel, true, true, intern)
-					if got, want := fingerprint(delta), fingerprint(full); got != want {
-						t.Fatalf("%s intern=%v: pre-restore divergence:\n%s", strat.name, intern, diffLines(want, got))
+				// The reference runs full propagation without preprocessing;
+				// the candidate enables both delta and prep, so the restore
+				// sequence exercises re-solving on a prep-merged graph.
+				full := solveStrategy(m, invariant.All(), strat.wave, strat.parallel, false, false)
+				delta := solveStrategy(m, invariant.All(), strat.wave, strat.parallel, true, true)
+				if got, want := fingerprint(delta), fingerprint(full); got != want {
+					t.Fatalf("%s: pre-restore divergence:\n%s", strat.name, diffLines(want, got))
+				}
+				// Restore records by stable identity, not index: both solves
+				// assumed the same invariants (asserted above), so drive both
+				// from the full solve's record list.
+				recs := full.Invariants()
+				for i, rec := range recs {
+					if err := full.Restore(rec); err != nil {
+						t.Fatalf("%s: full restore %d (%+v): %v", strat.name, i, rec, err)
 					}
-					// Restore records by stable identity, not index: both solves
-					// assumed the same invariants (asserted above), so drive both
-					// from the full solve's record list.
-					recs := full.Invariants()
-					for i, rec := range recs {
-						if err := full.Restore(rec); err != nil {
-							t.Fatalf("%s: full restore %d (%+v): %v", strat.name, i, rec, err)
-						}
-						if err := delta.Restore(rec); err != nil {
-							t.Fatalf("%s intern=%v: delta restore %d (%+v): %v", strat.name, intern, i, rec, err)
-						}
-						if got, want := fingerprint(delta), fingerprint(full); got != want {
-							t.Errorf("%s intern=%v: divergence after restore %d (kind=%v site=%d):\n%s",
-								strat.name, intern, i, rec.Kind, rec.Site, diffLines(want, got))
-						}
+					if err := delta.Restore(rec); err != nil {
+						t.Fatalf("%s: delta restore %d (%+v): %v", strat.name, i, rec, err)
+					}
+					if got, want := fingerprint(delta), fingerprint(full); got != want {
+						t.Errorf("%s: divergence after restore %d (kind=%v site=%d):\n%s",
+							strat.name, i, rec.Kind, rec.Site, diffLines(want, got))
 					}
 				}
 			}

@@ -166,8 +166,6 @@ type Analysis struct {
 	noDelta    bool            // disable difference propagation (differential-oracle ablation)
 	deltaMode  uint8           // deltaAuto (resolved at first solve) / deltaOn / deltaOff
 	parallel   int             // >1: parallel wave strategy with this many gather workers
-	intern     bool            // hash-cons points-to sets in a per-analysis pool
-	pool       *bitset.Pool    // lazily created at first resolve when intern is set
 
 	// Offline preprocessing (prep.go / hcd.go): HVN variable substitution and
 	// hybrid cycle detection run once, lazily, at the first resolve — after
@@ -181,10 +179,9 @@ type Analysis struct {
 	hcdAt      [][]int32        // rep node -> indexes into hcdEntries
 	lcdSeen    map[edgeKey]bool // copy edges already probed by the LCD fallback
 
-	stats         Stats
-	flushed       Stats               // stats already exported to metrics
-	flushedIntern bitset.PoolStats    // intern-pool stats already exported
-	metrics       *telemetry.Registry // nil disables telemetry
+	stats   Stats
+	flushed Stats               // stats already exported to metrics
+	metrics *telemetry.Registry // nil disables telemetry
 
 	// Tracing state. The parent span (if any) nests this analysis's phase
 	// spans under the caller's stage span; build timing is captured in New
@@ -296,30 +293,6 @@ var defaultParallel atomic.Int64
 // returns the previous value, so callers can restore it.
 func SetDefaultParallel(n int) int { return int(defaultParallel.Swap(int64(n))) }
 
-// SetIntern toggles hash-consed points-to-set sharing for this analysis: the
-// solver interns fixpoint sets in a per-analysis bitset.Pool, so nodes with
-// equal sets share one canonical storage block (and one memoized element
-// slice), and re-consuming an unchanged set in full-propagation mode costs no
-// allocation at all. Mutations through shared storage copy-on-write, so the
-// fixpoint is byte-identical to the un-interned solvers (asserted by the
-// differential strategy cube and the golden artifact tests); only allocation
-// behavior changes. Interning happens only in the solver's serial phases —
-// worklist pops, wave level barriers, and the post-fixpoint sweep — never in
-// parallel gather workers, which keeps sharing deterministic under the
-// parallel strategy. Must be called before Solve.
-func (a *Analysis) SetIntern(on bool) { a.intern = on }
-
-// defaultIntern is the package-wide interning default, read by New. It
-// exists for the same reason as defaultPrep and defaultParallel: pipeline
-// entry points construct analyses without exposing solver knobs, so CLI
-// flags (-intern) and byte-identity tests flip the default around a region.
-var defaultIntern atomic.Bool
-
-// SetDefaultIntern sets the package-wide default for hash-consed set
-// interning (off unless changed) and returns the previous value, so callers
-// can restore it.
-func SetDefaultIntern(on bool) bool { return defaultIntern.Swap(on) }
-
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
@@ -342,7 +315,6 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 	}
 	a.prep = defaultPrep.Load()
 	a.parallel = int(defaultParallel.Load())
-	a.intern = defaultIntern.Load()
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)

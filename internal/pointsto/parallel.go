@@ -153,14 +153,6 @@ func (a *Analysis) runLevel(level []int) {
 		if a.noDelta {
 			work = a.pts[n]
 			if work != nil {
-				if a.pool != nil {
-					// Intern at the level barrier: the snapshot is serial, so
-					// every sharing decision — and the canonical element slice
-					// the gather workers will iterate — is fixed before any
-					// worker runs. Workers never touch the pool, which keeps
-					// sharing deterministic under parallel gathering.
-					a.pool.Intern(work)
-				}
 				size := work.Len()
 				a.stats.BitsPropagated += size
 				a.hDeltaSize.Observe(int64(size))
@@ -180,13 +172,7 @@ func (a *Analysis) runLevel(level []int) {
 		if work == nil || work.Empty() {
 			continue
 		}
-		t := levelTask{n: n, work: work}
-		if work.Interned() {
-			// Materialize the memoized canonical slice now (free on a pool
-			// hit) so gather workers read fully settled entries.
-			t.elems = work.Elements()
-		}
-		tasks = append(tasks, t)
+		tasks = append(tasks, levelTask{n: n, work: work})
 	}
 	if len(tasks) == 0 {
 		return
@@ -237,9 +223,7 @@ func (a *Analysis) gatherLevel(tasks []levelTask) {
 // and target sets are only diffed against.
 func (a *Analysis) gatherTask(t *levelTask) {
 	n := t.n
-	if t.elems == nil {
-		t.elems = t.work.Elements()
-	}
+	t.elems = t.work.Elements()
 	if geps := a.gepTo[n]; len(geps) > 0 {
 		t.geps = make([]gepIntent, 0, len(geps))
 		for _, e := range geps {

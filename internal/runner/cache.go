@@ -57,7 +57,6 @@ type Cache struct {
 	faults   *faultinject.Plan // armed fault plan; fires CachePoison per compute
 	budget   pointsto.Budget   // per-stage solver budget applied to every compute
 	parallel int               // default parallel-solve worker count for every compute (0 = sequential)
-	intern   bool              // default set-interning mode for every compute
 	mu       sync.Mutex
 	entries  map[cacheKey]*cacheEntry
 }
@@ -89,14 +88,6 @@ func (c *Cache) SetBudget(b pointsto.Budget) { c.budget = b }
 // Per-request opt-in goes through SystemCtxOpts instead. Must be set before
 // the cache is used.
 func (c *Cache) SetParallel(n int) { c.parallel = n }
-
-// SetIntern makes every analysis this cache computes hash-cons its points-to
-// sets in a per-analysis pool (pointsto.SetIntern). Interned solves are
-// byte-identical to plain ones, so — exactly like SetParallel — cache keys
-// are unaffected and entries are interchangeable across the knob; it is a
-// pure memory/allocation hint. Per-request opt-in goes through
-// SystemCtxOpts. Must be set before the cache is used.
-func (c *Cache) SetIntern(on bool) { c.intern = on }
 
 // Forget drops every memoized entry (all configurations) of the named
 // application and reports how many entries were removed. In-flight
@@ -189,11 +180,6 @@ type ComputeOpts struct {
 	// workers, overriding the cache-wide SetParallel default. Byte-identical
 	// results make this a pure execution hint.
 	Parallel int
-	// Intern hash-conses points-to sets during the solve (see
-	// pointsto.SetIntern). Byte-identical results make this, too, a pure
-	// execution hint; it cannot switch interning off when the cache-wide
-	// SetIntern default is on.
-	Intern bool
 }
 
 // SystemCtxOpts is SystemCtx with per-request compute options. A request
@@ -271,7 +257,6 @@ func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Co
 		Budget:   c.budget,
 		Faults:   c.faults,
 		Parallel: parallel,
-		Intern:   opts.Intern || c.intern,
 	})
 }
 

@@ -326,52 +326,3 @@ func TestCacheComputeOptsParallel(t *testing.T) {
 		t.Fatalf("misses = %d, want 2", got)
 	}
 }
-
-// TestCacheInternIsPureHint covers both interning entry points on the cache:
-// the cache-wide SetIntern default and the per-request ComputeOpts.Intern
-// opt-in. Interned solves must engage the pool (visible through the attached
-// registry), render byte-identically to a plain cache's results, and leave
-// ordinary entries behind that later non-interned requests share.
-func TestCacheInternIsPureHint(t *testing.T) {
-	app := testApp(t)
-	ctx := context.Background()
-
-	metrics := telemetry.New()
-	c := NewCache(metrics)
-	c.SetIntern(true)
-	sys, err := c.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := metrics.Snapshot()
-	if snap.Counters["pointsto/intern/misses"] == 0 {
-		t.Fatalf("SetIntern(true) cache never engaged the pool: %v", snap.Counters)
-	}
-
-	plain, err := NewCache(nil).SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resultDump(sys.Optimistic), resultDump(plain.Optimistic); got != want {
-		t.Fatalf("interned analysis diverges from plain:\n%s\nvs\n%s", got, want)
-	}
-
-	// Per-request opt-in: no cache-wide default, one request asks. The entry
-	// it computes is a normal entry, shared with plain requests.
-	optMetrics := telemetry.New()
-	oc := NewCache(optMetrics)
-	optSys, err := oc.SystemCtxOpts(ctx, app, invariant.All(), ComputeOpts{Intern: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if optMetrics.Snapshot().Counters["pointsto/intern/misses"] == 0 {
-		t.Fatal("ComputeOpts.Intern request never engaged the pool")
-	}
-	again, err := oc.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != optSys {
-		t.Fatal("plain request did not share the intern-computed entry")
-	}
-}

@@ -40,10 +40,23 @@ func TestMalformedJSONRejected(t *testing.T) {
 
 func TestUnknownFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body, _ := post(t, ts, "/analyze",
-		map[string]any{"source": demoSource, "sourcecode": "typo"})
-	if status != http.StatusBadRequest || body["kind"] != "validation" {
-		t.Fatalf("unknown field: status %d kind %v, want 400/validation", status, body["kind"])
+	for _, tc := range []struct {
+		field string
+		value any
+	}{
+		{"sourcecode", "typo"},
+		// Solver knobs are the operator's (Config), never the request's.
+		{"intern", true},
+		{"parallel", true},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			status, body, _ := post(t, ts, "/analyze",
+				map[string]any{"source": demoSource, tc.field: tc.value})
+			if status != http.StatusBadRequest || body["kind"] != "validation" {
+				t.Fatalf("unknown field %q: status %d kind %v, want 400/validation",
+					tc.field, status, body["kind"])
+			}
+		})
 	}
 }
 

@@ -98,21 +98,12 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// Parallel > 0 solves every admitted analysis with the parallel wave
-	// strategy at that many workers. 0 (the default) solves sequentially
-	// unless a request opts in (submission field "parallel"), which uses
-	// GOMAXPROCS workers. Either way the fixpoint is byte-identical to the
-	// sequential solvers, so cached entries are shared freely between
-	// parallel and sequential requests.
+	// strategy at that many workers; 0 (the default) solves sequentially.
+	// Requests cannot choose: the setting is the operator's, because one
+	// request's parallel solve occupies the whole shared daemon. The
+	// fixpoint is byte-identical to the sequential solvers, so cached
+	// entries do not depend on it.
 	Parallel int
-
-	// Intern hash-conses points-to sets during every admitted solve
-	// (pointsto.SetIntern): equal sets share one canonical storage block
-	// with copy-on-write promotion, cutting resident memory for large
-	// programs. Like Parallel it is a pure execution hint — results are
-	// byte-identical — so cached entries are shared freely with
-	// non-interned requests; a request can also opt in per submission with
-	// the "intern" field.
-	Intern bool
 
 	// Faults optionally arms fault injection on the analysis pipeline
 	// (CachePoison, SolverBudget), for chaos-testing the daemon.

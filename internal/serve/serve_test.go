@@ -421,16 +421,16 @@ func TestRunLoadAgainstServer(t *testing.T) {
 	}
 }
 
-// TestParallelOptInRoundTrip covers the per-request parallel opt-in: a
-// submission carrying "parallel": true solves with the parallel wave
+// TestParallelOptInRoundTrip covers the operator-level parallel opt-in: a
+// server started with Config{Parallel: 2} solves with the parallel wave
 // strategy (counted in serve/solve/parallel and visible in /metricsz), its
 // responses are byte-identical to a sequential server's, and the cached
-// entry it leaves behind answers sequential resubmissions without a solve.
+// entry it leaves behind answers resubmissions without a solve.
 func TestParallelOptInRoundTrip(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{Parallel: 2})
 	seqS, seqTS := newTestServer(t, Config{})
 
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource, "parallel": true})
+	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource})
 	if status != http.StatusOK {
 		t.Fatalf("parallel submission: status %d: %v", status, body)
 	}
@@ -455,28 +455,21 @@ func TestParallelOptInRoundTrip(t *testing.T) {
 		path string
 		req  map[string]any
 	}{
-		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick", "parallel": true}},
-		{"/cfi-targets", map[string]any{"source": demoSource, "parallel": true}},
+		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick"}},
+		{"/cfi-targets", map[string]any{"source": demoSource}},
 	} {
-		seqReq := map[string]any{}
-		for k, v := range q.req {
-			if k != "parallel" {
-				seqReq[k] = v
-			}
-		}
 		_, par, _ := post(t, ts, q.path, q.req)
-		_, seq, _ := post(t, seqTS, q.path, seqReq)
+		_, seq, _ := post(t, seqTS, q.path, q.req)
 		if fmt.Sprint(par) != fmt.Sprint(seq) {
 			t.Fatalf("%s: parallel response diverges from sequential:\n%v\nvs\n%v", q.path, par, seq)
 		}
 	}
 
-	// The parallel-computed entry is a normal cache entry: a sequential
-	// resubmission is served from it without a new solve or a new parallel
-	// count.
+	// The parallel-computed entry is a normal cache entry: a resubmission is
+	// served from it without a new solve or a new parallel count.
 	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
 	if status != http.StatusOK || body["cached"] != true {
-		t.Fatalf("sequential resubmission not served from cache: %d %v", status, body)
+		t.Fatalf("resubmission not served from cache: %d %v", status, body)
 	}
 	if got := counter(s, "serve/solve/parallel"); got != 1 {
 		t.Fatalf("cached resubmission bumped serve/solve/parallel to %d", got)
@@ -528,79 +521,5 @@ func TestParallelBudgetAbortNotCached(t *testing.T) {
 	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
 	if status != http.StatusServiceUnavailable || body["kind"] != "budget" {
 		t.Fatalf("resubmission after abort: status %d kind %v, want 503/budget", status, body["kind"])
-	}
-}
-
-// TestInternOptInRoundTrip covers the per-request intern opt-in: a
-// submission carrying "intern": true hash-conses its solve's points-to sets
-// (counted in serve/solve/intern), its responses are byte-identical to a
-// plain server's, and the cached entry it leaves behind answers plain
-// resubmissions without a solve — interning is invisible to everything but
-// the memory profile.
-func TestInternOptInRoundTrip(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	plainS, plainTS := newTestServer(t, Config{})
-
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource, "intern": true})
-	if status != http.StatusOK {
-		t.Fatalf("interned submission: status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("serve/solve/intern = %d, want 1", got)
-	}
-	plainStatus, plainBody, _ := post(t, plainTS, "/analyze", map[string]any{"source": demoSource})
-	if plainStatus != http.StatusOK {
-		t.Fatalf("plain submission: status %d: %v", plainStatus, plainBody)
-	}
-	if counter(plainS, "serve/solve/intern") != 0 {
-		t.Fatal("plain server counted an interned solve")
-	}
-	if fmt.Sprint(body) != fmt.Sprint(plainBody) {
-		t.Fatalf("interned analysis diverges from plain:\n%v\nvs\n%v", body, plainBody)
-	}
-	for _, q := range []struct {
-		path string
-		req  map[string]any
-	}{
-		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick", "intern": true}},
-		{"/cfi-targets", map[string]any{"source": demoSource, "intern": true}},
-	} {
-		plainReq := map[string]any{}
-		for k, v := range q.req {
-			if k != "intern" {
-				plainReq[k] = v
-			}
-		}
-		_, in, _ := post(t, ts, q.path, q.req)
-		_, pl, _ := post(t, plainTS, q.path, plainReq)
-		if fmt.Sprint(in) != fmt.Sprint(pl) {
-			t.Fatalf("%s: interned response diverges from plain:\n%v\nvs\n%v", q.path, in, pl)
-		}
-	}
-
-	// The intern-computed entry is a normal cache entry: a plain
-	// resubmission is served from it without a new solve or intern count.
-	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusOK || body["cached"] != true {
-		t.Fatalf("plain resubmission not served from cache: %d %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("cached resubmission bumped serve/solve/intern to %d", got)
-	}
-}
-
-// TestInternServerDefaultCounts: a server started with Config.Intern (the
-// -intern flag) hash-conses every uncached solve without the request asking.
-// (The demo program's points-to sets all fit the inline representation, so
-// the pool sees no traffic here; pool instrumentation reaching a registry is
-// pinned by pointsto.TestInternTelemetry and the runner cache test.)
-func TestInternServerDefaultCounts(t *testing.T) {
-	s, ts := newTestServer(t, Config{Intern: true})
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("serve/solve/intern = %d, want 1", got)
 	}
 }
