@@ -14,9 +14,9 @@
 // Concurrency: a Set carries no locks. Methods that mutate the receiver
 // (Add, Remove, UnionWith, UnionDelta, DifferenceWith, IntersectWith, Clear)
 // require exclusive access. Methods that only read the receiver and their
-// arguments (Has, Len, Empty, ForEach, Elements, Min, Max, SubsetOf, Equal,
-// Intersects, Clone, Difference, String) are safe to call from any number of
-// goroutines concurrently, provided no goroutine mutates the sets involved
+// arguments (Has, Len, Empty, ForEach, Elements, AppendElements, Min, Max,
+// SubsetOf, Equal, Intersects, Clone, Difference, String) are safe to call
+// from any number of goroutines concurrently, provided no goroutine mutates the sets involved
 // for the duration — the read-only phases of the parallel wave solver
 // (internal/pointsto) rely on exactly this contract, with mutation confined
 // to the level barriers.
@@ -515,13 +515,26 @@ func (s *Set) ForEach(f func(x int) bool) {
 }
 
 // Elements returns the elements in ascending order.
-func (s *Set) Elements() []int {
-	out := make([]int, 0, s.count)
-	s.ForEach(func(x int) bool {
-		out = append(out, x)
-		return true
-	})
-	return out
+func (s *Set) Elements() []int { return s.AppendElements(make([]int, 0, s.count)) }
+
+// AppendElements appends the elements in ascending order to dst and returns
+// the extended slice, so a caller can materialize sets into one reused
+// buffer.
+func (s *Set) AppendElements(dst []int) []int {
+	if s.inline() {
+		for i := 0; i < s.count; i++ {
+			dst = append(dst, int(s.small[i]))
+		}
+		return dst
+	}
+	for i, w := range s.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			dst = append(dst, i*wordBits+b)
+			w &^= 1 << uint(b)
+		}
+	}
+	return dst
 }
 
 // Min returns the smallest element, or -1 if the set is empty.

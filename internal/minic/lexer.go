@@ -57,45 +57,66 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	toks []token // nil while counting
+	n    int     // tokens scanned so far
 }
 
-// lex tokenizes src, returning all tokens (terminated by tokEOF).
+// lex tokenizes src, returning all tokens (terminated by tokEOF). A first
+// pass only counts the tokens, so the token slice is allocated once at its
+// exact length instead of being regrown by append as a long source is read.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	count := &lexer{src: src, line: 1}
+	if err := count.scan(); err != nil {
+		return nil, err
+	}
+	l := &lexer{src: src, line: 1, toks: make([]token, 0, count.n)}
+	if err := l.scan(); err != nil {
+		return nil, err
+	}
+	return l.toks, nil
+}
+
+// scan reads the whole source, emitting every token.
+func (l *lexer) scan() error {
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, line: l.line})
-			return l.toks, nil
+			l.emit(tokEOF, "")
+			return nil
 		}
 		c := l.src[l.pos]
+		start := l.pos
 		switch {
 		case isIdentStart(c):
-			start := l.pos
 			for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
 				l.pos++
 			}
-			text := l.src[start:l.pos]
-			kind := tokIdent
-			if keywords[text] {
-				kind = tokKeyword
-			}
-			l.toks = append(l.toks, token{kind: kind, text: text, line: l.line})
+			l.emit(tokIdent, l.src[start:l.pos])
 		case c >= '0' && c <= '9':
-			start := l.pos
 			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokInt, text: l.src[start:l.pos], line: l.line})
+			l.emit(tokInt, l.src[start:l.pos])
 		default:
-			p, err := l.punct()
-			if err != nil {
-				return nil, err
+			if err := l.punct(); err != nil {
+				return err
 			}
-			l.toks = append(l.toks, token{kind: tokPunct, text: p, line: l.line})
+			l.emit(tokPunct, l.src[start:l.pos])
 		}
 	}
+}
+
+// emit counts a token and, unless counting, appends it (identifiers that
+// spell a keyword become keyword tokens).
+func (l *lexer) emit(kind tokKind, text string) {
+	l.n++
+	if l.toks == nil {
+		return
+	}
+	if kind == tokIdent && keywords[text] {
+		kind = tokKeyword
+	}
+	l.toks = append(l.toks, token{kind: kind, text: text, line: l.line})
 }
 
 func (l *lexer) skipSpaceAndComments() {
@@ -128,20 +149,21 @@ func (l *lexer) skipSpaceAndComments() {
 
 var twoCharPuncts = []string{"->", "==", "!=", "<=", ">=", "&&", "||"}
 
-func (l *lexer) punct() (string, error) {
+// punct consumes one punctuator.
+func (l *lexer) punct() error {
 	rest := l.src[l.pos:]
 	for _, p := range twoCharPuncts {
 		if strings.HasPrefix(rest, p) {
 			l.pos += 2
-			return p, nil
+			return nil
 		}
 	}
 	c := l.src[l.pos]
 	if strings.ContainsRune("(){}[];,.&*+-/%=<>!", rune(c)) {
 		l.pos++
-		return string(c), nil
+		return nil
 	}
-	return "", errf(l.line, "unexpected character %q", c)
+	return errf(l.line, "unexpected character %q", c)
 }
 
 func isIdentStart(c byte) bool {

@@ -7,9 +7,42 @@ import (
 	"repro/internal/ir"
 )
 
+// buildOp is one primitive constraint recorded by build's module walk.
+// Recording instead of installing lets the walk finish first, so the
+// per-node arrays are allocated once at their exact length; the constraints
+// are then installed in walk order, which keeps node ids, edge order and the
+// initial worklist exactly as if they had been installed during the walk.
+type buildOp struct {
+	kind opKind
+	x, y int32 // endpoints, see opKind
+	site int32
+	off  int32 // opGep: analysis-slot field offset
+}
+
+type opKind uint8
+
+const (
+	opAddr  opKind = iota // {y} ⊆ pts(x), y an object slot node
+	opCopy                // x -> y
+	opLoad                // y = *x
+	opStore               // *x = y
+	opGep                 // y = &x->off
+	opArith               // y = x + unknown
+	opICall               // x indexes icallSites
+)
+
 // build creates all abstract objects and primitive constraints for the
-// module, applying the Ctx policy's constraint rewrites when enabled.
+// module, applying the Ctx policy's constraint rewrites when enabled. The
+// module walk declares every node and records the constraints; sizeNodes
+// then allocates the per-node arrays and the recorded constraints are
+// installed in order.
 func (a *Analysis) build() {
+	// Every instruction but a direct call records at most one constraint, so
+	// the instruction count is a first size for the tape (append grows it
+	// when calls and Ctx rewiring need more); the tape is dropped after
+	// build.
+	a.tape = make([]buildOp, 0, max(a.mod.NumInstrs(), 0))
+
 	// Objects for globals and functions, in module order (the object index
 	// space is therefore identical across configurations, which lets memory
 	// views and the interpreter share object identities).
@@ -40,41 +73,41 @@ func (a *Analysis) build() {
 			case *ir.Alloca:
 				o := a.newObject(ObjStack, in.Var, fn, in.ID, in.Ty)
 				a.objBySite[in.ID] = o
-				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
+				a.record(opAddr, a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.Malloc:
 				o := a.newObject(ObjHeap, "heap", fn, in.ID, in.SizeOf)
 				a.objBySite[in.ID] = o
-				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
+				a.record(opAddr, a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.AddrGlobal:
 				o := a.objByGlobal[in.Global]
-				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
+				a.record(opAddr, a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.AddrFunc:
 				o := a.objByFunc[in.Func]
-				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
+				a.record(opAddr, a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.Copy:
-				a.addCopy(a.regNode(fn, in.Src), a.regNode(fn, in.Dest), in.ID, -1, false)
+				a.record(opCopy, a.regNode(fn, in.Src), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Load:
-				a.addLoad(a.regNode(fn, in.Addr), a.regNode(fn, in.Dest), in.ID)
+				a.record(opLoad, a.regNode(fn, in.Addr), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Store:
 				if !a.ctxSkip[in.ID] {
-					a.addStore(a.regNode(fn, in.Addr), a.regNode(fn, in.Src), in.ID)
+					a.record(opStore, a.regNode(fn, in.Addr), a.regNode(fn, in.Src), in.ID)
 				}
 			case *ir.FieldAddr:
 				off := a.layouts.Of(in.Struct).FieldAnalysisOff[in.Field]
-				a.addGep(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), off, in.ID)
+				a.recordGep(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), off, in.ID)
 			case *ir.IndexAddr:
 				// Array-index insensitive: the element shares the base's
 				// analysis slot.
-				a.addCopy(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID, -1, false)
+				a.record(opCopy, a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID)
 			case *ir.PtrAdd:
-				a.addArith(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID)
+				a.record(opArith, a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Call:
 				a.wireDirectCall(fn, in)
 			case *ir.ICall:
 				a.wireICallSite(fn, in)
 			case *ir.Ret:
 				if in.Src != "" && !a.ctxSkip[in.ID] {
-					a.addCopy(a.regNode(fn, in.Src), a.retNode(fn), in.ID, -1, false)
+					a.record(opCopy, a.regNode(fn, in.Src), a.retNode(fn), in.ID)
 				}
 			}
 		})
@@ -83,6 +116,41 @@ func (a *Analysis) build() {
 	if a.cfg.Ctx {
 		a.wireCtxCallsites()
 	}
+
+	a.sizeNodes(a.declared)
+	for _, op := range a.tape {
+		x, y, site := int(op.x), int(op.y), int(op.site)
+		switch op.kind {
+		case opAddr:
+			a.addAddrOf(x, y, site)
+		case opCopy:
+			a.addCopy(x, y, site, false)
+		case opLoad:
+			a.addLoad(x, y, site)
+		case opStore:
+			a.addStore(x, y, site)
+		case opGep:
+			a.addGep(x, y, int(op.off), site)
+		case opArith:
+			a.addArith(x, y, site)
+		case opICall:
+			s := a.icallSites[x]
+			fptr := a.find(int(s.fptr))
+			a.icallsAt[fptr] = append(a.icallsAt[fptr], s)
+			a.seedDelta(fptr)
+		}
+	}
+	a.tape = nil
+}
+
+// record appends one primitive constraint to the build tape.
+func (a *Analysis) record(kind opKind, x, y, site int) {
+	a.tape = append(a.tape, buildOp{kind: kind, x: int32(x), y: int32(y), site: int32(site)})
+}
+
+// recordGep appends a Field-Of constraint to the build tape.
+func (a *Analysis) recordGep(base, dest, off, site int) {
+	a.tape = append(a.tape, buildOp{kind: opGep, x: int32(base), y: int32(dest), site: int32(site), off: int32(off)})
 }
 
 // addAddrOf installs the primitive Addr-Of constraint {obj} ⊆ pts(n) and
@@ -102,15 +170,16 @@ func (a *Analysis) wireDirectCall(caller string, c *ir.Call) {
 		if i >= len(callee.Params) {
 			break
 		}
-		a.addCopy(a.regNode(caller, arg), a.regNode(callee.Name, callee.Params[i]), c.ID, -1, false)
+		a.record(opCopy, a.regNode(caller, arg), a.regNode(callee.Name, callee.Params[i]), c.ID)
 	}
 	if c.Dest != "" {
-		a.addCopy(a.retNode(callee.Name), a.regNode(caller, c.Dest), c.ID, -1, false)
+		a.record(opCopy, a.retNode(callee.Name), a.regNode(caller, c.Dest), c.ID)
 	}
 }
 
-// wireICallSite registers an indirect callsite on its function-pointer node;
-// targets are connected during solving as they are discovered.
+// wireICallSite registers an indirect callsite on its function-pointer node
+// (recorded, so the site is attached once the arrays exist); targets are
+// connected during solving as they are discovered.
 func (a *Analysis) wireICallSite(caller string, c *ir.ICall) {
 	fptr := a.regNode(caller, c.FuncPtr)
 	args := make([]int32, len(c.Args))
@@ -128,9 +197,8 @@ func (a *Analysis) wireICallSite(caller string, c *ir.ICall) {
 		dest:      dest,
 		connected: map[int]bool{},
 	}
-	a.icallsAt[a.find(fptr)] = append(a.icallsAt[a.find(fptr)], site)
+	a.record(opICall, len(a.icallSites), 0, c.ID)
 	a.icallSites = append(a.icallSites, site)
-	a.seedDelta(fptr)
 }
 
 // wireCtxCallsites rewires precision-critical stores and returns
@@ -153,7 +221,7 @@ func (a *Analysis) wireCtxCallsites() {
 			}
 			rec.Callsites = append(rec.Callsites, c.call.ID)
 			base := a.applyChain(a.regNode(c.caller, c.call.Args[cs.baseParam]), cs.chain, c.call.ID)
-			a.addStore(base, a.regNode(c.caller, c.call.Args[cs.valParam]), c.call.ID)
+			a.record(opStore, base, a.regNode(c.caller, c.call.Args[cs.valParam]), c.call.ID)
 		}
 		a.ctxRecords = append(a.ctxRecords, rec)
 	}
@@ -172,7 +240,7 @@ func (a *Analysis) wireCtxCallsites() {
 			}
 			rec.Callsites = append(rec.Callsites, c.call.ID)
 			v := a.applyChain(a.regNode(c.caller, c.call.Args[cr.param]), cr.chain, c.call.ID)
-			a.addCopy(v, a.regNode(c.caller, c.call.Dest), c.call.ID, -1, false)
+			a.record(opCopy, v, a.regNode(c.caller, c.call.Dest), c.call.ID)
 		}
 		a.ctxRecords = append(a.ctxRecords, rec)
 	}
@@ -186,11 +254,11 @@ func (a *Analysis) applyChain(start int, chain []ctxStep, site int) int {
 		d := a.newNode(node{kind: nodeDummy})
 		switch st.kind {
 		case stepField:
-			a.addGep(n, d, int(st.off), site)
+			a.recordGep(n, d, int(st.off), site)
 		case stepIndex:
-			a.addCopy(n, d, site, -1, false)
+			a.record(opCopy, n, d, site)
 		case stepLoad:
-			a.addLoad(n, d, site)
+			a.record(opLoad, n, d, site)
 		}
 		n = d
 	}

@@ -45,15 +45,17 @@ type icallSite struct {
 	connected map[int]bool // object index -> already wired
 }
 
-// edgeKey identifies a copy edge for dedupe and origin tracking.
+// edgeKey identifies a copy edge for dedupe (and for the LCD fallback's
+// once-per-edge probe).
 type edgeKey struct{ from, to int32 }
 
-// Origin records why a derived copy edge exists: the load/store constraint
-// whose resolution created it (site) and the pointer node whose points-to set
-// triggered it.
+// Origin is one recorded derivation of a points-to fact, as Provenance
+// reports it: the constraint site that added the object and the node it
+// flowed from (-1 for Addr-Of). At most five are kept per fact, and only
+// while a tracer is installed.
 type Origin struct {
-	Site    int // load/store instruction ID (0 for primitive edges)
-	Trigger int // pointer node whose pts supplied the object
+	Site    int // constraint instruction ID (0 for a plain copy propagation)
+	Trigger int // node the object flowed from (-1 for Addr-Of)
 }
 
 // provKey and provEntry implement derivation provenance for introspection:
@@ -133,7 +135,7 @@ type Analysis struct {
 	arithTo   [][]arithEdge
 	icallsAt  [][]*icallSite
 
-	copyEdges   map[edgeKey][]Origin // existing copy edges with ≤5 origins
+	copyEdges   map[edgeKey]struct{} // existing copy edges (dedupe)
 	regNodes    map[regKey]int
 	retNodes    map[string]int
 	objBySite   map[int]*Object
@@ -143,6 +145,24 @@ type Analysis struct {
 
 	worklist []int32
 	inWL     []bool
+
+	// Build's module walk (build.go): node ids declared so far and the
+	// recorded primitive constraints, installed once the arrays are sized.
+	declared int
+	tape     []buildOp
+
+	// Solver scratch, reused across visits and released at the fixpoint
+	// (releaseScratch): the pointee buffer processNode, sccPass and Restore
+	// materialize a set into (never nested), consumed delta sets waiting to
+	// be handed out again, and the LCD probe's generation-stamped DFS state
+	// (lcdMark[v] == lcdGen marks v reached by the current probe, lcdPrev[v]
+	// is its DFS parent).
+	elemBuf    []int
+	freeDeltas []*bitset.Set
+	lcdMark    []uint32
+	lcdPrev    []int32
+	lcdStack   []int32
+	lcdGen     uint32
 
 	// PA policy state: PtrAdd site -> filtered object indexes.
 	paFiltered map[int]map[int]bool
@@ -300,7 +320,7 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		mod:         m,
 		layouts:     ir.NewLayouts(),
 		cfg:         cfg,
-		copyEdges:   map[edgeKey][]Origin{},
+		copyEdges:   map[edgeKey]struct{}{},
 		regNodes:    map[regKey]int{},
 		retNodes:    map[string]int{},
 		objBySite:   map[int]*Object{},
@@ -363,19 +383,11 @@ func (a *Analysis) Module() *ir.Module { return a.mod }
 // push enqueues a node for re-processing.
 func (a *Analysis) push(n int) {
 	n = a.find(n)
-	a.ensureWL()
 	if a.inWL[n] {
 		return
 	}
 	a.inWL[n] = true
 	a.worklist = append(a.worklist, int32(n))
-}
-
-// ensureWL sizes the in-worklist flags to the node count.
-func (a *Analysis) ensureWL() {
-	for len(a.inWL) < len(a.nodes) {
-		a.inWL = append(a.inWL, false)
-	}
 }
 
 // ptsOf returns the points-to set of the representative of n, allocating it
@@ -388,13 +400,48 @@ func (a *Analysis) ptsOf(n int) *bitset.Set {
 	return a.pts[n]
 }
 
-// deltaOf returns the pending-delta set of representative node n, allocating
-// it on first use. Callers must resolve n to its representative first.
+// deltaOf returns the pending-delta set of representative node n, taking a
+// recycled set (or allocating one) on first use. Callers must resolve n to
+// its representative first.
 func (a *Analysis) deltaOf(n int) *bitset.Set {
 	if a.delta[n] == nil {
-		a.delta[n] = bitset.New(0)
+		if k := len(a.freeDeltas); k > 0 {
+			a.delta[n] = a.freeDeltas[k-1]
+			a.freeDeltas = a.freeDeltas[:k-1]
+		} else {
+			a.delta[n] = bitset.New(0)
+		}
 	}
 	return a.delta[n]
+}
+
+// recycleDelta empties a consumed delta set and keeps it for deltaOf. The
+// caller must hold the only reference: the set was detached from a.delta
+// and no pending work (a parallel level's task) still reads it. The set
+// goes back to the empty inline form, so a recycled set never makes a
+// later delta scan a bit vector sized for an earlier one.
+func (a *Analysis) recycleDelta(s *bitset.Set) {
+	*s = bitset.Set{}
+	a.freeDeltas = append(a.freeDeltas, s)
+}
+
+// elemsOf materializes s into the shared scratch buffer. The slice is valid
+// until the next call; callers iterate it while the solver mutates sets
+// (merges, collapses), which a ForEach over the live set would not survive.
+func (a *Analysis) elemsOf(s *bitset.Set) []int {
+	a.elemBuf = s.AppendElements(a.elemBuf[:0])
+	return a.elemBuf
+}
+
+// releaseScratch drops the solver's reusable buffers once a fixpoint is
+// reached, so a finished analysis — possibly kept for a long time by a
+// cache — retains only its result. A later Restore re-creates them on
+// demand.
+func (a *Analysis) releaseScratch() {
+	a.worklist = nil
+	a.elemBuf = nil
+	a.freeDeltas = nil
+	a.lcdMark, a.lcdPrev, a.lcdStack = nil, nil, nil
 }
 
 // seedDelta schedules a full-set flush of n: the node's entire points-to set
@@ -555,22 +602,21 @@ func (a *Analysis) unionSetInto(dst int, set *bitset.Set, srcNode, site int, der
 	return true
 }
 
-// addCopy inserts a copy edge from→to. Derived edges record their origin
-// (≤5 retained, most recent last). The source's current points-to set is
-// propagated immediately.
-func (a *Analysis) addCopy(from, to, site, trigger int, derived bool) {
+// addCopy inserts a copy edge from→to, once per representative pair, and
+// propagates the source's current points-to set immediately. The edge keeps
+// no origin: introspection reads how a fact was derived from provenance
+// (provs, at most five entries per fact), which the propagation below
+// records when a tracer is installed.
+func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	from, to = a.find(from), a.find(to)
 	if from == to {
 		return
 	}
 	k := edgeKey{int32(from), int32(to)}
-	if origins, exists := a.copyEdges[k]; exists {
-		if derived && len(origins) < 5 {
-			a.copyEdges[k] = append(origins, Origin{Site: site, Trigger: trigger})
-		}
+	if _, exists := a.copyEdges[k]; exists {
 		return
 	}
-	a.copyEdges[k] = []Origin{{Site: site, Trigger: trigger}}
+	a.copyEdges[k] = struct{}{}
 	a.copyTo[from] = append(a.copyTo[from], int32(to))
 	a.stats.CopyEdges++
 	if derived {
@@ -609,6 +655,15 @@ func (a *Analysis) addArith(base, dest, site int) {
 	a.seedDelta(base)
 }
 
+// concat appends src to dst for a node merge. src's owner is dropped by the
+// merge, so when dst is empty src's array is taken over instead of copied.
+func concat[T any](dst, src []T) []T {
+	if len(dst) == 0 {
+		return src
+	}
+	return append(dst, src...)
+}
+
 // union merges node y into node x for online cycle collapse, counting the
 // merge as an SCC collapse. Offline preprocessing and the HCD/LCD paths call
 // mergeNodes directly so each mechanism's merges are attributed to its own
@@ -637,22 +692,20 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 		a.ptsOf(x).UnionWith(a.pts[y])
 		a.pts[y] = nil
 	}
-	a.delta[y] = nil
-	a.copyTo[x] = append(a.copyTo[x], a.copyTo[y]...)
-	a.copyTo[y] = nil
-	a.gepTo[x] = append(a.gepTo[x], a.gepTo[y]...)
-	a.gepTo[y] = nil
-	a.loadTo[x] = append(a.loadTo[x], a.loadTo[y]...)
-	a.loadTo[y] = nil
-	a.storeFrom[x] = append(a.storeFrom[x], a.storeFrom[y]...)
-	a.storeFrom[y] = nil
-	a.arithTo[x] = append(a.arithTo[x], a.arithTo[y]...)
-	a.arithTo[y] = nil
-	a.icallsAt[x] = append(a.icallsAt[x], a.icallsAt[y]...)
-	a.icallsAt[y] = nil
+	if a.delta[y] != nil {
+		// y's pending pointees are in pts(x) now, and the flush below
+		// re-seeds x with all of them.
+		a.recycleDelta(a.delta[y])
+		a.delta[y] = nil
+	}
+	a.copyTo[x], a.copyTo[y] = concat(a.copyTo[x], a.copyTo[y]), nil
+	a.gepTo[x], a.gepTo[y] = concat(a.gepTo[x], a.gepTo[y]), nil
+	a.loadTo[x], a.loadTo[y] = concat(a.loadTo[x], a.loadTo[y]), nil
+	a.storeFrom[x], a.storeFrom[y] = concat(a.storeFrom[x], a.storeFrom[y]), nil
+	a.arithTo[x], a.arithTo[y] = concat(a.arithTo[x], a.arithTo[y]), nil
+	a.icallsAt[x], a.icallsAt[y] = concat(a.icallsAt[x], a.icallsAt[y]), nil
 	if a.hcdAt != nil {
-		a.hcdAt[x] = append(a.hcdAt[x], a.hcdAt[y]...)
-		a.hcdAt[y] = nil
+		a.hcdAt[x], a.hcdAt[y] = concat(a.hcdAt[x], a.hcdAt[y]), nil
 	}
 	a.seedDelta(x)
 	return true

@@ -54,7 +54,7 @@ func (a *Analysis) offlineHCD() {
 		}
 	}
 	sccs := sccOf(adj)
-	a.hcdAt = make([][]int32, n)
+	a.hcdAt = make([][]int32, n, cap(a.nodes))
 	for _, scc := range sccs {
 		if len(scc) < 2 {
 			continue
@@ -141,20 +141,33 @@ func (a *Analysis) lcdProbe(src, dst int) {
 		return
 	}
 	a.lcdSeen[k] = true
-	// DFS from dst over representative copy edges, searching for src.
-	prev := map[int]int{dst: -1}
-	stack := []int{dst}
+	// DFS from dst over representative copy edges, searching for src. The
+	// visited marks are generation stamps, so a probe allocates nothing once
+	// the scratch arrays exist.
+	if len(a.lcdMark) < len(a.nodes) {
+		a.lcdMark = make([]uint32, cap(a.nodes))
+		a.lcdPrev = make([]int32, cap(a.nodes))
+		a.lcdGen = 0
+	}
+	a.lcdGen++
+	if a.lcdGen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(a.lcdMark)
+		a.lcdGen = 1
+	}
+	gen := a.lcdGen
+	a.lcdMark[dst], a.lcdPrev[dst] = gen, -1
+	a.lcdStack = append(a.lcdStack[:0], int32(dst))
 	budget := lcdBudget
-	for len(stack) > 0 && budget > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(a.lcdStack) > 0 && budget > 0 {
+		v := int(a.lcdStack[len(a.lcdStack)-1])
+		a.lcdStack = a.lcdStack[:len(a.lcdStack)-1]
 		budget--
 		for _, t := range a.copyTo[v] {
 			w := a.find(int(t))
 			if w == src {
 				// Collapse the cycle src -> dst -> ... -> v -> src.
 				merged := 0
-				for u := v; u != -1; u = prev[u] {
+				for u := v; u != -1; u = int(a.lcdPrev[u]) {
 					if a.mergeNodes(src, u) {
 						a.stats.LCDCollapses++
 						merged++
@@ -166,9 +179,9 @@ func (a *Analysis) lcdProbe(src, dst int) {
 				}
 				return
 			}
-			if _, seen := prev[w]; !seen && w != v {
-				prev[w] = v
-				stack = append(stack, w)
+			if a.lcdMark[w] != gen && w != v {
+				a.lcdMark[w], a.lcdPrev[w] = gen, int32(v)
+				a.lcdStack = append(a.lcdStack, int32(w))
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func (r *Result) Restore(rec invariant.Record) error {
 				continue
 			}
 			if a.pts[a.find(n)] != nil {
-				for _, o := range a.pts[a.find(n)].Elements() {
+				for _, o := range a.elemsOf(a.pts[a.find(n)]) {
 					if obj := a.objOfNode(o); obj != nil {
 						a.makeFieldInsensitive(obj)
 					}
@@ -94,7 +94,7 @@ func (r *Result) Restore(rec invariant.Record) error {
 		case *ir.Store:
 			a.addStore(a.regNode(f.Name, in.Addr), a.regNode(f.Name, in.Src), in.ID)
 		case *ir.Ret:
-			a.addCopy(a.regNode(f.Name, in.Src), a.retNode(f.Name), in.ID, -1, false)
+			a.addCopy(a.regNode(f.Name, in.Src), a.retNode(f.Name), in.ID, false)
 		default:
 			return fmt.Errorf("pointsto: Ctx site %d is not a store or return", rec.Site)
 		}

@@ -13,6 +13,7 @@ package pointsto
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/ir"
 )
 
@@ -72,11 +73,13 @@ func (o *Object) Label() string {
 
 type nodeKind uint8
 
+// The zero value is nodeDummy: sizeNodes fills in the identity of every
+// other node the module walk declared.
 const (
-	nodeReg   nodeKind = iota // a register (top-level pointer variable)
+	nodeDummy nodeKind = iota // per-callsite dummy node for Ctx wiring
+	nodeReg                   // a register (top-level pointer variable)
 	nodeRet                   // a function's return-value node
 	nodeObj                   // one slot of an abstract object
-	nodeDummy                 // per-callsite dummy node for Ctx wiring
 )
 
 // node is one vertex of the constraint graph.
@@ -122,8 +125,18 @@ func (a *Analysis) find(x int) int {
 	return x
 }
 
-// newNode appends a node and its empty points-to set.
+// newNode hands out the next node id. During build's module walk the node
+// count is not known yet, so the walk only counts ids (sizeNodes then
+// allocates every per-node array once, at its exact length, and fills in the
+// identities). Nodes created after build — parameters and returns first
+// reached when an indirect callsite resolves, or re-admitted by Restore —
+// append to every array.
 func (a *Analysis) newNode(n node) int {
+	if a.rep == nil {
+		id := a.declared
+		a.declared++
+		return id
+	}
 	id := len(a.nodes)
 	a.nodes = append(a.nodes, n)
 	a.rep = append(a.rep, int32(id))
@@ -135,10 +148,65 @@ func (a *Analysis) newNode(n node) int {
 	a.storeFrom = append(a.storeFrom, nil)
 	a.arithTo = append(a.arithTo, nil)
 	a.icallsAt = append(a.icallsAt, nil)
+	a.inWL = append(a.inWL, false)
 	if a.hcdAt != nil {
 		a.hcdAt = append(a.hcdAt, nil)
 	}
 	return id
+}
+
+// sizeNodes allocates the per-node arrays for the n node ids build's module
+// walk declared, and fills in each node's identity from the objects and the
+// register and return maps the walk built; every other node is a Ctx dummy.
+//
+// Capacity is n plus the nodes solving can still create: an indirect
+// callsite that resolves to an address-taken function wires its parameters
+// and return value, whose nodes exist only if the function's own body or a
+// direct call already used them. Reserving exactly those keeps a late node
+// from reallocating every array. The worklist holds each node at most once
+// (inWL), so the same capacity bounds it.
+func (a *Analysis) sizeNodes(n int) {
+	late := 0
+	for _, f := range a.mod.Funcs {
+		if !f.AddressTaken {
+			continue
+		}
+		for _, p := range f.Params {
+			if _, ok := a.regNodes[regKey{f.Name, p}]; !ok {
+				late++
+			}
+		}
+		if _, ok := a.retNodes[f.Name]; !ok {
+			late++
+		}
+	}
+	c := n + late
+	a.nodes = make([]node, n, c)
+	for _, o := range a.objects {
+		for s := 0; s < o.Size; s++ {
+			a.nodes[o.NodeBase+s] = node{kind: nodeObj, obj: int32(o.Index), slot: int32(s)}
+		}
+	}
+	for k, id := range a.regNodes {
+		a.nodes[id] = node{kind: nodeReg, fn: k.fn, reg: k.reg}
+	}
+	for fn, id := range a.retNodes {
+		a.nodes[id] = node{kind: nodeRet, fn: fn}
+	}
+	a.rep = make([]int32, n, c)
+	for i := range a.rep {
+		a.rep[i] = int32(i)
+	}
+	a.pts = make([]*bitset.Set, n, c)
+	a.delta = make([]*bitset.Set, n, c)
+	a.copyTo = make([][]int32, n, c)
+	a.gepTo = make([][]*gepEdge, n, c)
+	a.loadTo = make([][]depEdge, n, c)
+	a.storeFrom = make([][]depEdge, n, c)
+	a.arithTo = make([][]arithEdge, n, c)
+	a.icallsAt = make([][]*icallSite, n, c)
+	a.inWL = make([]bool, n, c)
+	a.worklist = make([]int32, 0, c)
 }
 
 type regKey struct{ fn, reg string }
@@ -179,9 +247,11 @@ func (a *Analysis) newObject(kind ObjKind, name, fn string, site int, t ir.Type)
 		Type:  t,
 		Size:  size,
 	}
-	o.NodeBase = len(a.nodes)
-	for s := 0; s < size; s++ {
-		a.newNode(node{kind: nodeObj, obj: int32(o.Index), slot: int32(s)})
+	for slot := 0; slot < size; slot++ {
+		id := a.newNode(node{kind: nodeObj, obj: int32(o.Index), slot: int32(slot)})
+		if slot == 0 {
+			o.NodeBase = id
+		}
 	}
 	a.objects = append(a.objects, o)
 	if t == nil && kind == ObjHeap {

@@ -90,7 +90,6 @@ type levelTask struct {
 // fixed point. Round structure (sccPass, residual drain, quiescence check)
 // mirrors solveWave; only the per-level visit is split into phases.
 func (a *Analysis) solveParallel(solveSpan *telemetry.Span) {
-	a.ensureWL()
 	for {
 		a.stats.Waves++
 		a.hWLDepth.Observe(int64(len(a.worklist)))
@@ -126,7 +125,6 @@ func (a *Analysis) solveParallel(solveSpan *telemetry.Span) {
 // apply. See the package comment at the top of this file for the phase
 // contract.
 func (a *Analysis) runLevel(level []int) {
-	a.ensureWL()
 	a.hLevelWidth.Observe(int64(len(level)))
 	tasks := make([]levelTask, 0, len(level))
 	for _, n := range level {
@@ -179,6 +177,14 @@ func (a *Analysis) runLevel(level []int) {
 	}
 	a.gatherLevel(tasks)
 	a.applyLevel(tasks)
+	if !a.noDelta {
+		// Every task of the level is applied: only now are the consumed
+		// deltas (t.work, read by gather and by apply's replay) free to be
+		// handed out again.
+		for i := range tasks {
+			a.recycleDelta(tasks[i].work)
+		}
+	}
 }
 
 // gatherLevel stages every task's edge evaluations, fanning out across up to
@@ -298,7 +304,7 @@ func (a *Analysis) applyLevel(tasks []levelTask) {
 				if a.nodes[o].kind != nodeObj {
 					continue
 				}
-				a.addCopy(a.find(o), int(e.other), int(e.site), n, true)
+				a.addCopy(a.find(o), int(e.other), int(e.site), true)
 			}
 		}
 		for _, e := range a.storeFrom[n] {
@@ -306,7 +312,7 @@ func (a *Analysis) applyLevel(tasks []levelTask) {
 				if a.nodes[o].kind != nodeObj {
 					continue
 				}
-				a.addCopy(int(e.other), a.find(o), int(e.site), n, true)
+				a.addCopy(int(e.other), a.find(o), int(e.site), true)
 			}
 		}
 		for _, e := range a.arithTo[n] {

@@ -44,9 +44,15 @@ func (a *Analysis) resolve() error {
 		if a.deltaMode == deltaAuto {
 			a.noDelta = len(a.nodes) < DeltaAutoThreshold
 		}
+		if a.noDelta {
+			// Build-time propagation filled deltas that full
+			// re-propagation never reads.
+			clear(a.delta)
+		}
 		if a.prep && !a.naive {
 			a.runPrep()
 		}
+		a.addrFacts = nil // HVN hashing was their only reader
 	}
 	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", a.parentSpan)
 	stop := a.metrics.Timer("pointsto/phase/solve").Start()
@@ -62,7 +68,6 @@ func (a *Analysis) resolve() error {
 	} else if a.wave {
 		a.solveWave(solveSpan)
 	} else {
-		a.ensureWL()
 		for {
 			// One histogram sample of worklist depth per solver round, plus
 			// the live gauge the stall watchdog reads.
@@ -104,6 +109,7 @@ func (a *Analysis) resolve() error {
 	// resolve representatives without path-compression writes; a finished
 	// analysis may then be read from many goroutines concurrently.
 	a.flattenReps()
+	a.releaseScratch()
 	stop()
 	finishSolve()
 	a.flushMetrics()
@@ -193,7 +199,6 @@ func (a *Analysis) drain() {
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
 	a.cLivePops.Inc()
-	a.ensureWL()
 	var work *bitset.Set
 	if a.noDelta {
 		work = a.pts[n]
@@ -214,12 +219,21 @@ func (a *Analysis) processNode(n int) {
 			}
 		}
 	}
-	if work == nil || work.Empty() {
+	if work == nil {
 		// Nothing pending: every edge has already consumed the node's full
 		// set (new edges seed a flush before pushing the node here).
 		return
 	}
-	elems := work.Elements()
+	if !a.noDelta {
+		// The consumed delta is detached from a.delta, so nothing else can
+		// reach it: once this visit is done with it, deltaOf may hand it out
+		// again.
+		defer a.recycleDelta(work)
+	}
+	if work.Empty() {
+		return
+	}
+	elems := a.elemsOf(work)
 	if a.hcdAt != nil && len(a.hcdAt[n]) > 0 {
 		// Hybrid cycle detection: new pointees of n close offline-predicted
 		// copy cycles; collapse them now, in O(members), instead of waiting
@@ -247,7 +261,7 @@ func (a *Analysis) processNode(n int) {
 			if a.nodes[o].kind != nodeObj {
 				continue
 			}
-			a.addCopy(a.find(o), int(e.other), int(e.site), n, true)
+			a.addCopy(a.find(o), int(e.other), int(e.site), true)
 		}
 	}
 	for _, e := range a.storeFrom[n] {
@@ -255,7 +269,7 @@ func (a *Analysis) processNode(n int) {
 			if a.nodes[o].kind != nodeObj {
 				continue
 			}
-			a.addCopy(int(e.other), a.find(o), int(e.site), n, true)
+			a.addCopy(int(e.other), a.find(o), int(e.site), true)
 		}
 	}
 	for _, e := range a.arithTo[n] {
@@ -320,10 +334,10 @@ func (a *Analysis) connectICall(n int, s *icallSite, elems []int) {
 			if i >= len(callee.Params) {
 				break
 			}
-			a.addCopy(int(argN), a.regNode(callee.Name, callee.Params[i]), int(s.site), n, true)
+			a.addCopy(int(argN), a.regNode(callee.Name, callee.Params[i]), int(s.site), true)
 		}
 		if s.dest >= 0 {
-			a.addCopy(a.retNode(callee.Name), int(s.dest), int(s.site), n, true)
+			a.addCopy(a.retNode(callee.Name), int(s.dest), int(s.site), true)
 		}
 	}
 }
@@ -402,7 +416,7 @@ func (a *Analysis) sccPass() bool {
 			if a.pts[n] == nil {
 				continue
 			}
-			for _, o := range a.pts[n].Elements() {
+			for _, o := range a.elemsOf(a.pts[n]) {
 				if obj := a.objOfNode(o); obj != nil {
 					a.makeFieldInsensitive(obj)
 				}
@@ -516,36 +530,38 @@ func (a *Analysis) tarjan() [][]int {
 	var sccs [][]int
 	next := int32(0)
 
-	succ := func(v int) []int {
-		var out []int
-		for _, t := range a.copyTo[v] {
-			out = append(out, a.find(int(t)))
-		}
-		for _, e := range a.gepTo[v] {
-			out = append(out, a.find(int(e.to)))
-		}
-		return out
-	}
-
+	// Successors are walked lazily per frame (ci over copyTo, then gi over
+	// gepTo), resolving representatives as they are reached; nothing merges
+	// during the walk, so this visits exactly what a materialized successor
+	// list would.
 	type frame struct {
-		v     int
-		succs []int
-		i     int
+		v      int
+		ci, gi int
 	}
+	nextSucc := func(f *frame) (int, bool) {
+		if copies := a.copyTo[f.v]; f.ci < len(copies) {
+			f.ci++
+			return a.find(int(copies[f.ci-1])), true
+		}
+		if geps := a.gepTo[f.v]; f.gi < len(geps) {
+			f.gi++
+			return a.find(int(geps[f.gi-1].to)), true
+		}
+		return 0, false
+	}
+	var frames []frame
 	for root := 0; root < n; root++ {
 		if a.find(root) != root || index[root] != -1 {
 			continue
 		}
-		frames := []frame{{v: root, succs: succ(root)}}
+		frames = append(frames[:0], frame{v: root})
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, int32(root))
 		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.i < len(f.succs) {
-				w := f.succs[f.i]
-				f.i++
+			if w, ok := nextSucc(f); ok {
 				if w == f.v {
 					continue
 				}
@@ -554,7 +570,7 @@ func (a *Analysis) tarjan() [][]int {
 					next++
 					stack = append(stack, int32(w))
 					onStack[w] = true
-					frames = append(frames, frame{v: w, succs: succ(w)})
+					frames = append(frames, frame{v: w})
 				} else if onStack[w] && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}

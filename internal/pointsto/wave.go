@@ -17,7 +17,6 @@ func (a *Analysis) SetWave(wave bool) { a.wave = wave }
 // solveWave runs wave propagation to a fixed point. Wave spans nest under
 // the caller's solve span.
 func (a *Analysis) solveWave(solveSpan *telemetry.Span) {
-	a.ensureWL()
 	for {
 		a.stats.Waves++
 		a.hWLDepth.Observe(int64(len(a.worklist)))

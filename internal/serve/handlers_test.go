@@ -6,6 +6,7 @@ package serve
 // with the documented status code.
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -169,5 +170,32 @@ func TestProgramEviction(t *testing.T) {
 	}
 	if got := counter(s, "core/analyses"); got != solves+1 {
 		t.Fatalf("evicted program did not re-solve (%d -> %d)", solves, got)
+	}
+}
+
+// TestUncompilableProgramsDoNotEvict: submissions that do not compile are
+// rejected before they enter the program table, so a full table of them
+// leaves a solved program in place.
+func TestUncompilableProgramsDoNotEvict(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxPrograms: 4})
+	solved := map[string]any{"source": demoSource, "config": "baseline"}
+	if status, body, _ := post(t, ts, "/analyze", solved); status != 200 {
+		t.Fatalf("solve: %d %v", status, body)
+	}
+	for i := 0; i < 4; i++ {
+		bad := map[string]any{"source": fmt.Sprintf("int broken%d(\n", i), "config": "baseline"}
+		if status, body, _ := post(t, ts, "/analyze", bad); status != http.StatusBadRequest || body["kind"] != "validation" {
+			t.Fatalf("uncompilable submission %d: status %d kind %v, want 400/validation", i, status, body["kind"])
+		}
+	}
+	if got := counter(s, "serve/errors/compile"); got != 4 {
+		t.Fatalf("compile errors = %d, want 4", got)
+	}
+	if got := counter(s, "serve/cache/programs-evicted"); got != 0 {
+		t.Fatalf("programs evicted = %d, want 0", got)
+	}
+	status, body, _ := post(t, ts, "/analyze", solved)
+	if status != 200 || body["cached"] != true {
+		t.Fatalf("solved program after rejected submissions: status %d cached=%v, want 200/true", status, body["cached"])
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/persist"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // Readiness states (Server.state).
@@ -154,7 +155,9 @@ func (s *Server) warmOne(hash, key string) {
 		s.quarantineWarm(key, "record content disagrees with its key")
 		return
 	}
-	s.lookupProgram(k.hash, rec.Source)
+	// A record exists only for a program that compiled and solved, so the
+	// program enters the table uncompiled; its first query compiles it.
+	s.insertProgram(k.hash, &workload.App{Name: progName(k.hash), Source: rec.Source})
 	res := newServedResult(rec.Snapshot)
 	s.mu.Lock()
 	if s.results[k] == nil { // a concurrent fresh solve wins ties

@@ -29,14 +29,34 @@ func hashSource(src string) string {
 // workload.App name the runner.Cache keys on).
 func progName(hash string) string { return "prog-" + hash[:16] }
 
-// lookupProgram returns the synthesized workload for the hash, inserting
-// (and evicting, FIFO, past MaxPrograms) as needed. The bool reports
-// whether the program was already present.
-func (s *Server) lookupProgram(hash, src string) (*workload.App, bool) {
+// program returns the compiled workload for a submission. A new source is
+// compiled before it enters the program table, so a program that does not
+// compile never takes a slot — and never evicts a solved one. Compilation
+// runs outside s.mu; the module is memoized inside the App, so a known
+// program pays nothing here.
+func (s *Server) program(hash, src string) (*workload.App, error) {
+	s.mu.Lock()
+	app := s.apps[hash]
+	s.mu.Unlock()
+	if app != nil {
+		_, err := app.Module()
+		return app, err
+	}
+	app = &workload.App{Name: progName(hash), Source: src}
+	if _, err := app.Module(); err != nil {
+		return nil, err
+	}
+	return s.insertProgram(hash, app), nil
+}
+
+// insertProgram installs app under hash, evicting FIFO past MaxPrograms,
+// and returns the installed App: a concurrent insert of the same program
+// wins, so every request for one hash shares one App.
+func (s *Server) insertProgram(hash string, app *workload.App) *workload.App {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if app := s.apps[hash]; app != nil {
-		return app, true
+	if cur := s.apps[hash]; cur != nil {
+		return cur
 	}
 	if len(s.apps) >= s.cfg.MaxPrograms {
 		victim := s.order[0]
@@ -56,11 +76,10 @@ func (s *Server) lookupProgram(hash, src string) (*workload.App, bool) {
 		s.cache.Forget(progName(victim))
 		s.metrics.Counter("serve/cache/programs-evicted").Inc()
 	}
-	app := &workload.App{Name: progName(hash), Source: src}
 	s.apps[hash] = app
 	s.order = append(s.order, hash)
 	s.metrics.Gauge("serve/cache/programs").Set(int64(len(s.apps)))
-	return app, false
+	return app
 }
 
 // analysis is a served analysis plus its cache provenance.
@@ -92,11 +111,10 @@ func (s *Server) system(ctx context.Context, req submission) (*analysis, *apiErr
 	hash := hashSource(src)
 	tr.Annotate("program", hash[:16])
 	tr.Annotate("config", cfg.Name())
-	app, _ := s.lookupProgram(hash, src)
 	// Compile before admission: a malformed program must cost a parse, not
-	// a solve slot. The module is memoized inside the App, so this is free
-	// for every request after the first.
-	if _, err := app.Module(); err != nil {
+	// a solve slot or a program-table slot.
+	app, err := s.program(hash, src)
+	if err != nil {
 		s.metrics.Counter("serve/errors/compile").Inc()
 		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation",
 			Msg: fmt.Sprintf("program %q does not compile: %v", name, err)}
